@@ -18,13 +18,19 @@ import (
 // (conjGraph) with the exact semantics a live graph would have at the
 // as-of watermark: counts are base counts plus exact deltas (so the
 // planner picks the same plan it would against the live graph), and
-// enumeration order matches live construction order — base entries in
-// the base's index order with suffix-retracted entries skipped (live
-// retraction splices preserve relative order), suffix-added entries
-// appended in mutation order (live assertion appends). A query streamed
-// through the overlay is therefore byte-identical to the same query
-// streamed against a graph recovered from the same checkpoint and
-// replayed to the as-of watermark.
+// enumeration order matches the live graph's:
+//   - postings are in ascending subject ID on both sides (a function of
+//     graph state, not of write history), so a posting read is the merge
+//     of two sorted runs — the surviving base subjects and the sorted
+//     suffix adds — with no order to replay;
+//   - fact lists are in live construction order: base facts in the
+//     base's order with suffix-retracted facts skipped (live retraction
+//     splices preserve relative order), then suffix-added facts in
+//     mutation order (live assertion appends).
+//
+// A query streamed through the overlay is therefore byte-identical to
+// the same query streamed against a graph recovered from the same
+// checkpoint and replayed to the as-of watermark.
 //
 // The base must not be mutated while the overlay is in use; wal's
 // SnapshotAt bases satisfy this by construction. The overlay itself is
@@ -54,10 +60,10 @@ type Overlay struct {
 	remFacts map[spKey]int
 	remPosts map[poKey]int
 
-	// Suffix-added triples, per fact list and posting, in mutation
-	// order (matching live assertion-append order). inAdded is their
-	// identity set; a suffix retract of a suffix add splices these
-	// lists order-preservingly, exactly as live retraction does.
+	// Suffix-added triples: per fact list in mutation order (matching
+	// live assertion-append order), per posting in ascending subject ID
+	// (matching live posting order). inAdded is their identity set; a
+	// suffix retract of a suffix add splices both order-preservingly.
 	inAdded    map[kg.TripleKey]struct{}
 	addedFacts map[spKey][]kg.Triple
 	addedPosts map[poKey][]kg.EntityID
@@ -100,14 +106,17 @@ func (o *Overlay) applyAssert(t kg.Triple) {
 	if _, gone := o.removed[k]; !gone && o.base.HasFact(t.Subject, t.Predicate, t.Object) {
 		return // already present in the base and not retracted: live no-op
 	}
-	// Not currently present: append. A re-assert of a suffix-retracted
+	// Not currently present: add. A re-assert of a suffix-retracted
 	// base triple lands here too — it stays in removed (its original
-	// index position is gone for good) and appends at the end, which is
-	// where live re-assertion puts it.
+	// fact-list position is gone for good) and appends to the fact list,
+	// which is where live re-assertion puts it; in the posting it takes
+	// its sorted place, as live.
 	sp, po := spKey{t.Subject, t.Predicate}, poKey{t.Predicate, k.Object}
 	o.inAdded[k] = struct{}{}
 	o.addedFacts[sp] = append(o.addedFacts[sp], t)
-	o.addedPosts[po] = append(o.addedPosts[po], t.Subject)
+	subs := o.addedPosts[po]
+	i, _ := slices.BinarySearch(subs, t.Subject)
+	o.addedPosts[po] = slices.Insert(subs, i, t.Subject)
 	o.predDelta[t.Predicate]++
 }
 
@@ -141,14 +150,11 @@ func spliceTriple(ts []kg.Triple, key kg.TripleKey) []kg.Triple {
 	return ts
 }
 
-// spliceSubject removes the first occurrence of s, preserving relative
-// order. A posting holds at most one entry per subject (SPO identity
-// includes the subject), so first occurrence is the only occurrence.
+// spliceSubject removes s from an ascending posting. A posting holds at
+// most one entry per subject (SPO identity includes the subject).
 func spliceSubject(subs []kg.EntityID, s kg.EntityID) []kg.EntityID {
-	for i := range subs {
-		if subs[i] == s {
-			return append(subs[:i], subs[i+1:]...)
-		}
+	if i, ok := slices.BinarySearch(subs, s); ok {
+		return slices.Delete(subs, i, i+1)
 	}
 	return subs
 }
@@ -256,11 +262,69 @@ func (o *Overlay) FactsChunked(subj kg.EntityID, pred kg.PredicateID, chunkSize 
 }
 
 // SubjectsWithFunc streams the (pred, obj) subjects in live posting
-// order: surviving base subjects, then suffix-added subjects.
+// order, ascending subject ID: the surviving base subjects merged with
+// the suffix adds.
 func (o *Overlay) SubjectsWithFunc(pred kg.PredicateID, obj kg.Value, fn func(kg.EntityID) bool) {
-	key := obj.MapKey()
+	o.mergeSubjects(pred, obj, func(yield func(kg.EntityID) bool) {
+		o.base.SubjectsWithFunc(pred, obj, yield)
+	}, fn)
+}
+
+// SubjectsWithChunked streams the (pred, obj) subjects in chunks of at
+// most chunkSize, in the same order as SubjectsWithFunc. The base is
+// immutable, so unlike the live graph's chunked read the enumeration
+// can never restart: restarted is always false.
+func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, chunkSize int, fn func(chunk []kg.EntityID, restarted bool) bool) {
+	if chunkSize <= 0 {
+		chunkSize = 1024
+	}
+	buf := make([]kg.EntityID, 0, chunkSize)
+	emit := func(s kg.EntityID) bool {
+		buf = append(buf, s)
+		if len(buf) < chunkSize {
+			return true
+		}
+		ok := fn(buf, false)
+		buf = buf[:0]
+		return ok
+	}
+	// The base's chunked read copies slabs out under its stripe lock, so
+	// fn below runs lock-free, matching the live contract.
 	stopped := false
-	o.base.SubjectsWithFunc(pred, obj, func(s kg.EntityID) bool {
+	o.mergeSubjects(pred, obj, func(yield func(kg.EntityID) bool) {
+		o.base.SubjectsWithChunked(pred, obj, chunkSize, func(chunk []kg.EntityID, _ bool) bool {
+			for _, s := range chunk {
+				if !yield(s) {
+					return false
+				}
+			}
+			return true
+		})
+	}, func(s kg.EntityID) bool {
+		stopped = !emit(s)
+		return !stopped
+	})
+	if !stopped && len(buf) > 0 {
+		fn(buf, false)
+	}
+}
+
+// mergeSubjects merges two ascending runs into fn: the base posting as
+// streamed by scan, minus the suffix-retracted subjects, and the suffix
+// adds. The runs are disjoint apart from a re-asserted base subject,
+// which scan yields as removed and the adds carry in its place.
+func (o *Overlay) mergeSubjects(pred kg.PredicateID, obj kg.Value, scan func(yield func(kg.EntityID) bool), fn func(kg.EntityID) bool) {
+	key := obj.MapKey()
+	adds := o.addedPosts[poKey{pred, key}]
+	stopped := false
+	scan(func(s kg.EntityID) bool {
+		for len(adds) > 0 && adds[0] < s {
+			if !fn(adds[0]) {
+				stopped = true
+				return false
+			}
+			adds = adds[1:]
+		}
 		if _, gone := o.removed[kg.TripleKey{Subject: s, Predicate: pred, Object: key}]; gone {
 			return true
 		}
@@ -273,57 +337,10 @@ func (o *Overlay) SubjectsWithFunc(pred kg.PredicateID, obj kg.Value, fn func(kg
 	if stopped {
 		return
 	}
-	for _, s := range o.addedPosts[poKey{pred, key}] {
+	for _, s := range adds {
 		if !fn(s) {
 			return
 		}
-	}
-}
-
-// SubjectsWithChunked streams the (pred, obj) subjects in chunks of at
-// most chunkSize, in the same order as SubjectsWithFunc. The base is
-// immutable, so unlike the live graph's chunked read the enumeration
-// can never restart: restarted is always false.
-func (o *Overlay) SubjectsWithChunked(pred kg.PredicateID, obj kg.Value, chunkSize int, fn func(chunk []kg.EntityID, restarted bool) bool) {
-	if chunkSize <= 0 {
-		chunkSize = 1024
-	}
-	key := obj.MapKey()
-	buf := make([]kg.EntityID, 0, chunkSize)
-	stopped := false
-	emit := func(s kg.EntityID) bool {
-		buf = append(buf, s)
-		if len(buf) < chunkSize {
-			return true
-		}
-		ok := fn(buf, false)
-		buf = buf[:0]
-		return ok
-	}
-	// The base's chunked read copies slabs out under its stripe lock, so
-	// fn below runs lock-free, matching the live contract.
-	o.base.SubjectsWithChunked(pred, obj, chunkSize, func(chunk []kg.EntityID, _ bool) bool {
-		for _, s := range chunk {
-			if _, gone := o.removed[kg.TripleKey{Subject: s, Predicate: pred, Object: key}]; gone {
-				continue
-			}
-			if !emit(s) {
-				stopped = true
-				return false
-			}
-		}
-		return true
-	})
-	if stopped {
-		return
-	}
-	for _, s := range o.addedPosts[poKey{pred, key}] {
-		if !emit(s) {
-			return
-		}
-	}
-	if len(buf) > 0 {
-		fn(buf, false)
 	}
 }
 

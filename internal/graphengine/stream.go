@@ -118,9 +118,11 @@ type conjGraph interface {
 // deterministic for a fixed graph state: the planner fixes a clause
 // order once from counter estimates (ties keep the earlier clause — see
 // buildPlan), and the candidates of each expansion enumerate in index
-// (assertion) order — except unbound-clause expansions, which are
-// map-backed and therefore sorted by (subject, object key) before
-// enumeration. The same plan and graph always stream the same sequence,
+// order — postings in ascending subject ID (independent of write and
+// flush history), fact lists in assertion order — except unbound-clause
+// expansions, which are map-backed and therefore sorted by (subject,
+// object key) before enumeration. The same plan and graph always stream
+// the same sequence,
 // which is what Cursor resumption relies on; the Engine's plan cache
 // returns the same plan for an unchanged shape, so consecutive pages
 // replay identically. The order is NOT the sorted order of

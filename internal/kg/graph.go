@@ -895,15 +895,6 @@ func removeTriple(ts []Triple, key TripleKey) []Triple {
 	return ts
 }
 
-func removeEntity(es []EntityID, e EntityID) []EntityID {
-	for i := range es {
-		if es[i] == e {
-			return append(es[:i], es[i+1:]...)
-		}
-	}
-	return es
-}
-
 // ospPosting is one object entity's incoming-edge posting within a shard.
 // Short postings splice on removal like any small slice. The first
 // removal from a posting that has grown past postingIdxThreshold builds a

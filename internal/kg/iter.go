@@ -6,11 +6,12 @@ import "iter"
 // func consumers. Each returns an iter.Seq that streams the same elements
 // the corresponding *Func visitor passes to its callback, in the same
 // order and under the same locks: the loop body runs while the relevant
-// shard or pom-stripe read lock is held, and breaking out of the range
-// stops the enumeration and releases the lock immediately (the early-stop
-// the slice accessors cannot offer).
+// shard read lock or pom-stripe lock is held (a pom read that first had
+// to restore posting order keeps the stripe's write lock), and breaking
+// out of the range stops the enumeration and releases the lock
+// immediately (the early-stop the slice accessors cannot offer).
 //
-// Because the body runs under a read lock, it must not mutate the graph,
+// Because the body runs under a graph lock, it must not mutate the graph,
 // and it must not call back into the triple indexes (Facts, Outgoing,
 // HasFact, SubjectsWith, ...): a read on a subject hashing to the same
 // shard re-enters the shard's RWMutex, which deadlocks when a writer is
@@ -52,12 +53,12 @@ func (g *Graph) IncomingSeq(obj EntityID) iter.Seq[Triple] {
 }
 
 // SubjectsWithSeq streams the posting list of subjects carrying
-// (pred, obj) facts under one pom-stripe read lock — posting-list
-// iteration with early stop, where SubjectsWith copies the whole list up
-// front. Order is the posting order: per-shard assertion order, with a
-// fixed but unspecified interleaving across shards (deterministic for a
-// fixed graph state, which is what cursor replays rely on). It is the
-// iterator twin of SubjectsWith/SubjectsWithFunc.
+// (pred, obj) facts under one pom-stripe lock — posting-list iteration
+// with early stop, where SubjectsWith copies the whole list up front. Order is the posting order: ascending subject ID, a function of
+// the graph's state alone and independent of the write and flush history
+// that built it — which is what cursor replays, as-of reads and
+// recovered graphs rely on. It is the iterator twin of
+// SubjectsWith/SubjectsWithFunc.
 func (g *Graph) SubjectsWithSeq(pred PredicateID, obj Value) iter.Seq[EntityID] {
 	return func(yield func(EntityID) bool) {
 		g.SubjectsWithFunc(pred, obj, yield)
@@ -68,8 +69,8 @@ func (g *Graph) SubjectsWithSeq(pred PredicateID, obj Value) iter.Seq[EntityID] 
 // under pred from the predicate-major index. Object values are
 // reconstructed from their identity keys, so provenance is not carried
 // and iteration order across objects is unspecified; within one object's
-// posting list it is assertion order. It is the iterator twin of
-// PredicateEntriesFunc.
+// posting list it is ascending subject ID, independent of flush history.
+// It is the iterator twin of PredicateEntriesFunc.
 func (g *Graph) PredicateEntriesSeq(pred PredicateID) iter.Seq2[Value, EntityID] {
 	return func(yield func(Value, EntityID) bool) {
 		g.PredicateEntriesFunc(pred, yield)

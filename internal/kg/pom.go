@@ -1,6 +1,7 @@
 package kg
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -47,15 +48,32 @@ import (
 // internally consistent for its predicate's stripe and as fresh as the
 // moment the stripe lock was taken.
 //
-// # Posting lists and O(1) retract
+// # Posting lists: canonical order and O(1) retract
 //
-// Postings are append-ordered subject lists. Removal from a short list
-// splices; the first removal from a list that has grown past
-// postingIdxThreshold builds a subject → slot position map and switches
-// the list to tombstoning (slot zeroed in O(1), compaction once half the
-// slots are dead), so retracting from a hot posting — millions of
-// subjects sharing one (type, Person) pair — costs amortized O(1)
-// instead of a linear rescan. Bulk write-once loads never build the map.
+// Every posting enumerates its subjects in ascending EntityID order, a
+// function of the graph's state alone: two graphs holding the same
+// triples enumerate every posting identically, whatever the order of
+// their writes, flushes or restarts. That is what makes a cursor replay,
+// an as-of read (graphengine's Overlay) and a recovered graph agree with
+// a live capture.
+//
+// Delta buffers drain out of global order, so the order is restored
+// lazily rather than on every flushed record: an append above every
+// subject placed so far extends the sorted prefix, any other append
+// leaves the posting unsorted, and the first ordered read sorts it once
+// (sorting the unsorted tail and merging it into the prefix, under the
+// stripe write lock). Appends therefore stay O(1) and a bulk load pays
+// one sort, not an insertion per record.
+//
+// Removal from a short list splices; the first removal from a list that
+// has grown past postingIdxThreshold builds a subject → slot position
+// map and switches the list to tombstoning (slot zeroed in O(1),
+// compaction once half the slots are dead), so retracting from a hot
+// posting — millions of subjects sharing one (type, Person) pair — costs
+// amortized O(1) instead of a linear rescan. The map keeps a retracted
+// subject's slot (as ^slot) until the slot moves, so a re-assert revives
+// the slot in place: retract/re-assert churn keeps the posting sorted
+// and never appends. Bulk write-once loads never build the map.
 
 // pomStripeCount is the number of predicate lock stripes. Predicates are
 // few (hundreds, not millions); 64 stripes keeps writer collisions on
@@ -91,26 +109,51 @@ type pomDelta struct {
 // a shared generic would put a non-inlinable key-function call on the
 // hot add path — so a change to either's invariants (threshold,
 // compaction trigger, idx-build condition) must be mirrored in the other.
+// They differ in order only: a posting is kept in ascending subject
+// order (see "Posting lists" above), which the osp index does not
+// promise, and its map holds ^slot for a dead subject so a re-assert can
+// revive the slot.
 type posting struct {
 	subs []EntityID
 	dead int
-	idx  map[EntityID]int32
+	// idx maps a live subject to its slot and a retracted subject to
+	// ^slot of its tombstone (dropped once the slot moves).
+	idx map[EntityID]int32
+	// sorted is the length of the ascending prefix of subs (tombstones
+	// aside); the posting is in canonical order iff sorted == len(subs).
+	// hi is the largest subject placed since the last compaction, so an
+	// append above it extends the prefix.
+	sorted int
+	hi     EntityID
 	// ver is the posting's slot-stability epoch: it advances whenever an
 	// operation shifts surviving subjects to new slots (a short-list
-	// splice or a compaction), and only then. Appends extend the tail and
-	// tombstoning zeroes a slot in place, so neither moves a survivor —
-	// a chunked reader (SubjectsWithChunked) that resumes at a saved
-	// offset under an unchanged ver can never skip or re-read a subject
-	// that was present throughout; a ver change tells it to restart.
+	// splice, a compaction or a sort), and only then. Appends extend the
+	// tail, and tombstoning and revival write one slot in place, so none
+	// moves a survivor — a chunked reader (SubjectsWithChunked) that
+	// resumes at a saved offset under an unchanged ver can never skip or
+	// re-read a subject that was present throughout; a ver change tells
+	// it to restart.
 	ver uint32
 }
 
 func (p posting) live() int { return len(p.subs) - p.dead }
 
+func (p posting) inOrder() bool { return p.sorted == len(p.subs) }
+
 func (p posting) add(subj EntityID) posting {
 	if p.idx != nil {
+		if slot, ok := p.idx[subj]; ok && slot < 0 {
+			p.subs[^slot] = subj
+			p.idx[subj] = ^slot
+			p.dead--
+			return p
+		}
 		p.idx[subj] = int32(len(p.subs))
 	}
+	if p.inOrder() && subj > p.hi {
+		p.sorted++
+	}
+	p.hi = max(p.hi, subj)
 	p.subs = append(p.subs, subj)
 	return p
 }
@@ -118,8 +161,13 @@ func (p posting) add(subj EntityID) posting {
 func (p posting) remove(subj EntityID) posting {
 	if p.idx == nil {
 		if len(p.subs) < postingIdxThreshold {
-			p.subs = removeEntity(p.subs, subj)
-			p.ver++
+			if i := slices.Index(p.subs, subj); i >= 0 {
+				p.subs = slices.Delete(p.subs, i, i+1)
+				if i < p.sorted {
+					p.sorted--
+				}
+				p.ver++
+			}
 			return p
 		}
 		p.idx = make(map[EntityID]int32, len(p.subs))
@@ -128,11 +176,11 @@ func (p posting) remove(subj EntityID) posting {
 		}
 	}
 	slot, ok := p.idx[subj]
-	if !ok {
+	if !ok || slot < 0 {
 		return p
 	}
 	p.subs[slot] = NoEntity
-	delete(p.idx, subj)
+	p.idx[subj] = ^slot
 	p.dead++
 	if p.dead*2 >= len(p.subs) {
 		p = p.compact()
@@ -140,33 +188,62 @@ func (p posting) remove(subj EntityID) posting {
 	return p
 }
 
-// compact drops tombstones in place (preserving assertion order) and
-// re-points the surviving subjects' slots.
+// compact drops tombstones and restores ascending order in place: the
+// unsorted tail is sorted on its own and merged into the sorted prefix
+// from the back, O(len + t log t) for a tail of t (a full re-sort of a
+// million-subject posting with a few hundred late appends costs tens of
+// times more). The position map is rebuilt over the survivors; the
+// retracted subjects' ^slots go with their slots. It serves both the
+// tombstone trigger and the first ordered read after out-of-order
+// appends.
 func (p posting) compact() posting {
-	live := p.subs[:0]
-	for _, s := range p.subs {
+	head := dropDead(p.subs[:p.sorted])
+	tail := dropDead(slices.Clone(p.subs[p.sorted:]))
+	slices.Sort(tail)
+	n := len(head) + len(tail)
+	out := p.subs[:n]
+	i, j := len(head)-1, len(tail)-1
+	for k := n - 1; j >= 0; k-- {
+		if i >= 0 && head[i] > tail[j] {
+			out[k] = head[i]
+			i--
+		} else {
+			out[k] = tail[j]
+			j--
+		}
+	}
+	p.subs, p.dead, p.sorted = out, 0, n
+	if n > 0 {
+		p.hi = out[n-1]
+	}
+	p.ver++
+	if p.idx != nil {
+		clear(p.idx)
+		for i, s := range p.subs {
+			p.idx[s] = int32(i)
+		}
+	}
+	return p
+}
+
+// dropDead removes the tombstones from subs in place.
+func dropDead(subs []EntityID) []EntityID {
+	live := subs[:0]
+	for _, s := range subs {
 		if s != NoEntity {
 			live = append(live, s)
 		}
 	}
-	p.subs = live
-	p.dead = 0
-	p.ver++
-	for i, s := range p.subs {
-		p.idx[s] = int32(i)
-	}
-	return p
+	return live
 }
 
 // predPostings holds one predicate's postings and counters.
 type predPostings struct {
 	// objs maps object identity -> the posting of subjects asserting
 	// (pred, obj). Subjects are unique within a posting (the graph dedups
-	// SPO identity) and appear in per-shard assertion order; across
-	// shards the interleaving is the order the shards' delta buffers
-	// drained, which is fixed for a fixed graph state but not the global
-	// mutation order (it never was observable as such: pre-buffering, the
-	// interleaving was the writers' stripe-acquisition order).
+	// SPO identity) and every read sees them in ascending ID order,
+	// independent of the order in which the shards' delta buffers
+	// drained (see "Posting lists" above).
 	objs map[ValueKey]posting
 	// total is the number of (pred, *) triples; entityTotal the subset
 	// whose object is an entity.
@@ -310,21 +387,79 @@ func (g *Graph) pomFlushDirtyShards() {
 // on its lock-free fast path.
 func (g *Graph) SyncIndexes() { g.pomSync() }
 
+// lockSorted locks st for an ordered read of the (pred, key) posting and
+// returns the posting in ascending subject order. A posting that is
+// already in order is read under the read lock (the common case: one
+// acquisition, one flag check). An unsorted one is sorted under the write
+// lock, and the read keeps that lock rather than re-acquiring a read lock
+// a flush could slip in front of. The caller releases with unlock(excl).
+func (st *pomStripe) lockSorted(pred PredicateID, key ValueKey) (p posting, excl bool) {
+	st.mu.RLock()
+	pp := st.preds[pred]
+	if pp == nil {
+		return posting{}, false
+	}
+	if p = pp.objs[key]; p.inOrder() {
+		return p, false
+	}
+	st.mu.RUnlock()
+	st.mu.Lock()
+	if pp = st.preds[pred]; pp == nil {
+		return posting{}, true
+	}
+	if p = pp.objs[key]; !p.inOrder() {
+		p = p.compact()
+		pp.objs[key] = p
+	}
+	return p, true
+}
+
+// lockSortedPred is lockSorted for every posting of pred at once.
+func (st *pomStripe) lockSortedPred(pred PredicateID) (pp *predPostings, excl bool) {
+	st.mu.RLock()
+	pp = st.preds[pred]
+	if pp == nil || !pp.anyUnsorted() {
+		return pp, false
+	}
+	st.mu.RUnlock()
+	st.mu.Lock()
+	if pp = st.preds[pred]; pp != nil {
+		for key, p := range pp.objs {
+			if !p.inOrder() {
+				pp.objs[key] = p.compact()
+			}
+		}
+	}
+	return pp, true
+}
+
+func (pp *predPostings) anyUnsorted() bool {
+	for _, p := range pp.objs {
+		if !p.inOrder() {
+			return true
+		}
+	}
+	return false
+}
+
+func (st *pomStripe) unlock(excl bool) {
+	if excl {
+		st.mu.Unlock()
+	} else {
+		st.mu.RUnlock()
+	}
+}
+
 // SubjectsWith returns the subjects that carry (pred, obj) facts, read
 // from the predicate-major index under a single stripe lock (one
 // consistent point for the whole predicate, where the shard-swept variant
-// could interleave with writers between shards). Order is unspecified.
+// could interleave with writers between shards), in ascending ID order.
 func (g *Graph) SubjectsWith(pred PredicateID, obj Value) []EntityID {
 	g.pomSync()
 	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	pp := st.preds[pred]
-	if pp == nil {
-		return nil
-	}
-	p, ok := pp.objs[obj.MapKey()]
-	if !ok || p.live() == 0 {
+	p, excl := st.lockSorted(pred, obj.MapKey())
+	defer st.unlock(excl)
+	if p.live() == 0 {
 		return nil
 	}
 	out := make([]EntityID, 0, p.live())
@@ -337,18 +472,15 @@ func (g *Graph) SubjectsWith(pred PredicateID, obj Value) []EntityID {
 }
 
 // SubjectsWithFunc streams the subjects carrying (pred, obj) facts to fn
-// under the stripe read lock, stopping early if fn returns false. It is
-// the copy-free counterpart of SubjectsWith; fn must not mutate the graph.
+// in ascending ID order under the stripe lock, stopping early if fn
+// returns false. It is the copy-free counterpart of SubjectsWith; fn must
+// not mutate the graph.
 func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) bool) {
 	g.pomSync()
 	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	pp := st.preds[pred]
-	if pp == nil {
-		return
-	}
-	for _, s := range pp.objs[obj.MapKey()].subs {
+	p, excl := st.lockSorted(pred, obj.MapKey())
+	defer st.unlock(excl)
+	for _, s := range p.subs {
 		if s == NoEntity {
 			continue
 		}
@@ -359,24 +491,28 @@ func (g *Graph) SubjectsWithFunc(pred PredicateID, obj Value, fn func(EntityID) 
 }
 
 // SubjectsWithChunked streams the subjects carrying (pred, obj) facts to
-// fn in chunks of at most chunkSize, copying each chunk out under one
-// stripe read-lock acquisition and invoking fn with no locks held — the
-// bounded-copy counterpart of SubjectsWith for huge postings, where a
-// limit=10 query should not pay a million-entry slab copy before its
-// first row. fn may read the graph freely and stops the enumeration by
+// fn in ascending ID order, in chunks of at most chunkSize, copying each
+// chunk out under one stripe lock acquisition and invoking fn with no
+// locks held — the bounded-copy counterpart of SubjectsWith for huge
+// postings, where a limit=10 query should not pay a million-entry slab
+// copy before its first row. fn may read the graph freely and stops the enumeration by
 // returning false; the chunk slice is reused across calls and must not
 // be retained.
 //
 // Because the posting can mutate between chunk reads, resumption is
-// guarded by the posting's slot-stability epoch: appends and in-place
-// tombstones leave saved offsets valid, but a splice or compaction
-// shifts slots, and the reader then restarts from the beginning and
-// delivers the next chunk with restarted=true — the caller must
-// tolerate re-delivered subjects (the conjunctive executor's streaming
-// dedup absorbs them). The guarantee is one-sided, matching a slab
-// copy's: every subject present for the whole enumeration is delivered
-// at least once, and no subject is delivered that was never present;
-// subjects asserted or retracted concurrently may or may not appear.
+// guarded by the posting's slot-stability epoch: appends, in-place
+// tombstones and revivals leave saved offsets valid, but a splice, a
+// compaction or a sort (another reader restoring order after
+// out-of-order appends) shifts slots, and the reader then restarts from
+// the beginning of the re-sorted posting and delivers the next chunk
+// with restarted=true — the caller must tolerate re-delivered subjects
+// (the conjunctive executor's streaming dedup absorbs them). A resumed
+// read does not sort: subjects appended since the first chunk may arrive
+// after higher IDs. The guarantee is one-sided, matching a slab copy's:
+// every subject present for the whole enumeration is delivered at least
+// once, and no subject is delivered that was never present; subjects
+// asserted or retracted concurrently may or may not appear. An
+// enumeration over a posting nobody mutates is in ascending order.
 func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, chunkSize int, fn func(chunk []EntityID, restarted bool) bool) {
 	if chunkSize <= 0 {
 		chunkSize = 1024
@@ -392,13 +528,12 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, chunkSize int, 
 		restarted bool
 	)
 	for {
-		st.mu.RLock()
-		pp := st.preds[pred]
-		var p posting
-		if pp != nil {
-			p = pp.objs[key]
-		}
+		var (
+			p    posting
+			excl bool
+		)
 		if first {
+			p, excl = st.lockSorted(pred, key)
 			ver = p.ver
 			first = false
 			// Size the chunk buffer to the smaller of the chunk and the
@@ -410,12 +545,21 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, chunkSize int, 
 				}
 				buf = make([]EntityID, 0, n)
 			}
-		} else if p.ver != ver {
-			// Slots shifted under us: restart, flagging the next chunk so
-			// the caller knows earlier subjects may be delivered again.
-			ver = p.ver
-			off = 0
-			restarted = true
+		} else {
+			st.mu.RLock()
+			if pp := st.preds[pred]; pp != nil {
+				p = pp.objs[key]
+			}
+			if p.ver != ver {
+				// Slots shifted under us: restart on the posting in order,
+				// flagging the next chunk so the caller knows earlier
+				// subjects may be delivered again.
+				st.mu.RUnlock()
+				p, excl = st.lockSorted(pred, key)
+				ver = p.ver
+				off = 0
+				restarted = true
+			}
 		}
 		buf = buf[:0]
 		for off < len(p.subs) && len(buf) < chunkSize {
@@ -425,7 +569,7 @@ func (g *Graph) SubjectsWithChunked(pred PredicateID, obj Value, chunkSize int, 
 			off++
 		}
 		end := off >= len(p.subs)
-		st.mu.RUnlock()
+		st.unlock(excl)
 		if len(buf) > 0 {
 			if !fn(buf, restarted) {
 				return
@@ -580,15 +724,15 @@ func (g *Graph) PredicateFrequency(pred PredicateID) int {
 
 // PredicateEntriesFunc streams every (object value, subject) pair indexed
 // under pred to fn, stopping early if fn returns false. Object values are
-// reconstructed from their identity keys, so provenance is not carried
-// and iteration order is unspecified. fn runs under the stripe read lock
-// and must not mutate the graph.
+// reconstructed from their identity keys, so provenance is not carried;
+// the order across objects is unspecified (map order), and within one
+// object's posting subjects come in ascending ID order. fn runs under the
+// stripe lock and must not mutate the graph.
 func (g *Graph) PredicateEntriesFunc(pred PredicateID, fn func(obj Value, subj EntityID) bool) {
 	g.pomSync()
 	st := g.pomStripe(pred)
-	st.mu.RLock()
-	defer st.mu.RUnlock()
-	pp := st.preds[pred]
+	pp, excl := st.lockSortedPred(pred)
+	defer st.unlock(excl)
 	if pp == nil {
 		return
 	}

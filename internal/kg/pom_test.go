@@ -563,3 +563,132 @@ func TestPomCountReadThroughRandomized(t *testing.T) {
 	}
 	checkPomAgainstSweep(t, g, preds, objs)
 }
+
+// postingOrders renders every ordered posting read of g for the probe
+// space: SubjectsWith, SubjectsWithFunc, SubjectsWithChunked (small
+// chunks) and each object's run of PredicateEntriesFunc.
+func postingOrders(t *testing.T, g *Graph, preds []PredicateID, objs []Value) map[string][]EntityID {
+	t.Helper()
+	out := make(map[string][]EntityID)
+	for _, p := range preds {
+		for _, o := range objs {
+			label := fmt.Sprintf("p%d/%v", p, o.MapKey())
+			out["slice "+label] = g.SubjectsWith(p, o)
+			var fn, chunked []EntityID
+			g.SubjectsWithFunc(p, o, func(s EntityID) bool {
+				fn = append(fn, s)
+				return true
+			})
+			g.SubjectsWithChunked(p, o, 5, func(chunk []EntityID, restarted bool) bool {
+				if restarted {
+					t.Fatalf("%s: chunked read restarted with no concurrent writer", label)
+				}
+				chunked = append(chunked, chunk...)
+				return true
+			})
+			out["func "+label] = fn
+			out["chunked "+label] = chunked
+		}
+		g.PredicateEntriesFunc(p, func(obj Value, s EntityID) bool {
+			label := fmt.Sprintf("entries p%d/%v", p, obj.MapKey())
+			out[label] = append(out[label], s)
+			return true
+		})
+	}
+	return out
+}
+
+// Property: posting order is a function of graph state alone. A graph
+// built through many shards with tiny delta buffers (so buffers drain far
+// out of global order), retract/re-assert churn on hot postings
+// (tombstones, revivals, compactions) and reads interleaved with the
+// writes, and a one-shard graph restored from its triples by AssertBatch,
+// must enumerate every posting identically — in ascending subject ID.
+func TestPostingOrderCanonical(t *testing.T) {
+	for seed := int64(1); seed <= 4; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			g := NewGraphWithOptions(GraphOptions{Shards: 8, PomFlushThreshold: 7})
+			const nEnts = 300 // hot postings grow well past postingIdxThreshold
+			ents := make([]EntityID, nEnts)
+			for i := range ents {
+				id, err := g.AddEntity(Entity{Key: fmt.Sprintf("e%d", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				ents[i] = id
+			}
+			preds := make([]PredicateID, 2)
+			for i := range preds {
+				id, err := g.AddPredicate(Predicate{Name: fmt.Sprintf("p%d", i)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				preds[i] = id
+			}
+			objs := []Value{EntityValue(ents[0]), EntityValue(ents[1]), StringValue("x"), IntValue(7)}
+			var live []Triple
+			for step := 0; step < 6000; step++ {
+				switch r := rng.Intn(10); {
+				case r < 3 && len(live) > 0:
+					j := rng.Intn(len(live))
+					if !g.Retract(live[j]) {
+						t.Fatalf("retract of live triple %v failed", live[j])
+					}
+					live[j] = live[len(live)-1]
+					live = live[:len(live)-1]
+				case r == 3:
+					p, o := preds[rng.Intn(len(preds))], objs[rng.Intn(len(objs))]
+					got := g.SubjectsWith(p, o)
+					for i := 1; i < len(got); i++ {
+						if got[i-1] >= got[i] {
+							t.Fatalf("step %d: posting (%v, %v) not ascending: %v", step, p, o, got)
+						}
+					}
+				default:
+					tr := Triple{
+						Subject:   ents[rng.Intn(nEnts)],
+						Predicate: preds[rng.Intn(len(preds))],
+						Object:    objs[rng.Intn(len(objs))],
+					}
+					added, err := g.AssertNew(tr)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if added {
+						live = append(live, tr)
+					}
+				}
+			}
+
+			restored := NewGraphWithShards(1)
+			for i := range ents {
+				if _, err := restored.AddEntity(Entity{Key: fmt.Sprintf("e%d", i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for i := range preds {
+				if _, err := restored.AddPredicate(Predicate{Name: fmt.Sprintf("p%d", i)}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, err := restored.AssertBatch(g.AllTriples()); err != nil {
+				t.Fatal(err)
+			}
+
+			got, want := postingOrders(t, g, preds, objs), postingOrders(t, restored, preds, objs)
+			if len(got) != len(want) {
+				t.Fatalf("%d posting reads on the live graph, %d on the restored one", len(got), len(want))
+			}
+			for label, w := range want {
+				gl := got[label]
+				if fmt.Sprint(gl) != fmt.Sprint(w) {
+					t.Fatalf("%s: live %v, restored %v", label, gl, w)
+				}
+				if fmt.Sprint(w) != fmt.Sprint(sortedIDs(w)) {
+					t.Fatalf("%s: not ascending: %v", label, w)
+				}
+			}
+		})
+	}
+}

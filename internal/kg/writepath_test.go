@@ -225,8 +225,9 @@ func TestPomDeltaThresholdFlush(t *testing.T) {
 
 // Hot postings switch to position-mapped tombstones on their first
 // retract and compact once half dead; through all of it the accessors
-// must report live subjects only, in assertion order, for both the pom
-// posting and the osp incoming posting.
+// must report live subjects only, for both the pom posting and the osp
+// incoming posting, and the pom posting must stay in ascending subject
+// order across tombstoning, compaction and re-assert.
 func TestPostingTombstonesAndCompaction(t *testing.T) {
 	const n = 200 // well past postingIdxThreshold
 	g := NewGraphWithShards(1)
@@ -266,16 +267,10 @@ func TestPostingTombstonesAndCompaction(t *testing.T) {
 		if len(got) != len(live) {
 			t.Fatalf("round %d: %d live subjects, want %d", round, len(got), len(live))
 		}
-		// Assertion order must survive tombstoning and compaction: the
-		// returned order is the relative order of the original batch plus
-		// re-asserts at the end.
-		wantOrder := make(map[EntityID]int, len(live))
-		for i, s := range got {
-			wantOrder[s] = i
-		}
+		// Canonical order must survive tombstoning and compaction.
 		for i := 1; i < len(got); i++ {
-			if wantOrder[got[i-1]] >= wantOrder[got[i]] {
-				t.Fatalf("round %d: order not strictly increasing", round)
+			if got[i-1] >= got[i] {
+				t.Fatalf("round %d after retract: order not strictly ascending at %d: %v then %v", round, i, got[i-1], got[i])
 			}
 		}
 		if c := g.SubjectsWithCount(p, obj); c != len(live) {
@@ -284,12 +279,16 @@ func TestPostingTombstonesAndCompaction(t *testing.T) {
 		if inc := g.Incoming(person); len(inc) != len(live) {
 			t.Fatalf("round %d: Incoming = %d triples, want %d", round, len(inc), len(live))
 		}
-		// Re-assert a few retracted subjects; they append at the end.
+		// Re-assert a few retracted subjects; each takes its sorted place.
+		isLive := make(map[EntityID]bool, len(live))
+		for _, s := range live {
+			isLive[s] = true
+		}
 		for i := 0; i < 10 && len(live) < n; i++ {
 			var s EntityID
 			for {
 				s = subs[rng.Intn(n)]
-				if _, ok := wantOrder[s]; !ok {
+				if !isLive[s] {
 					break
 				}
 			}
@@ -297,10 +296,19 @@ func TestPostingTombstonesAndCompaction(t *testing.T) {
 				t.Fatal(err)
 			}
 			live = append(live, s)
-			wantOrder[s] = len(wantOrder)
+			isLive[s] = true
 		}
 		if c := g.SubjectsWithCount(p, obj); c != len(live) {
 			t.Fatalf("round %d after re-assert: count %d, want %d", round, c, len(live))
+		}
+		got = g.SubjectsWith(p, obj)
+		if len(got) != len(live) {
+			t.Fatalf("round %d after re-assert: %d live subjects, want %d", round, len(got), len(live))
+		}
+		for i := 1; i < len(got); i++ {
+			if got[i-1] >= got[i] {
+				t.Fatalf("round %d after re-assert: order not strictly ascending at %d: %v then %v", round, i, got[i-1], got[i])
+			}
 		}
 	}
 
